@@ -84,35 +84,115 @@ let test_cache_geometry_checks () =
       { Cache.size_bytes = 128; line_bytes = 64; assoc = 3 };
       { Cache.size_bytes = 64; line_bytes = 64; assoc = 0 } ]
 
-(* A tiny reference LRU cache (list of resident lines, most recent first)
-   used as an oracle for the positional set-associative implementation. *)
-let reference_lru cfg addrs =
-  let nsets = cfg.Cache.size_bytes / cfg.Cache.line_bytes / cfg.Cache.assoc in
-  let sets = Array.make nsets [] in
-  List.map
-    (fun addr ->
-      let line = addr / cfg.Cache.line_bytes in
-      let set = line mod nsets in
-      let resident = sets.(set) in
-      let hit = List.mem line resident in
-      let without = List.filter (fun l -> l <> line) resident in
-      let trimmed =
-        if List.length without >= cfg.Cache.assoc then
-          List.filteri (fun i _ -> i < cfg.Cache.assoc - 1) without
-        else without
-      in
-      sets.(set) <- line :: trimmed;
-      hit)
-    addrs
+(* A naive reference LRU cache (one list of resident lines per set, most
+   recent first), used as an oracle for [Cache].  It shares no code with
+   the implementation under test: [access] returns the hit bit and the
+   counters are kept alongside. *)
+module Ref_lru = struct
+  type t = {
+    cfg : Cache.config;
+    nsets : int;
+    sets : int list array;
+    mutable accesses : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create cfg =
+    let nsets = cfg.Cache.size_bytes / cfg.Cache.line_bytes / cfg.Cache.assoc in
+    { cfg; nsets; sets = Array.make nsets []; accesses = 0; misses = 0;
+      evictions = 0 }
+
+  let access r addr =
+    let line = addr / r.cfg.Cache.line_bytes in
+    let set = line mod r.nsets in
+    let resident = r.sets.(set) in
+    let hit = List.mem line resident in
+    r.accesses <- r.accesses + 1;
+    let without = List.filter (fun l -> l <> line) resident in
+    let trimmed =
+      if List.length without >= r.cfg.Cache.assoc then begin
+        r.evictions <- r.evictions + 1;
+        List.filteri (fun i _ -> i < r.cfg.Cache.assoc - 1) without
+      end
+      else without
+    in
+    if not hit then r.misses <- r.misses + 1;
+    r.sets.(set) <- line :: trimmed;
+    hit
+
+  let reset r =
+    Array.fill r.sets 0 r.nsets [];
+    r.accesses <- 0;
+    r.misses <- 0;
+    r.evictions <- 0
+end
+
+(* Random cache geometries: direct mapped, 2..8 ways over many sets, and
+   fully associative up to 128 ways — [small_cache]'s 1024/8/128 among
+   them. *)
+let gen_geometry =
+  let open QCheck.Gen in
+  let cfg ~line_bytes ~assoc ~nsets =
+    { Cache.size_bytes = line_bytes * assoc * nsets; line_bytes; assoc }
+  in
+  let* line_bytes = oneofl [ 8; 16; 64 ] in
+  frequency
+    [ ( 1,
+        let* sets_log = int_range 0 6 in
+        return (cfg ~line_bytes ~assoc:1 ~nsets:(1 lsl sets_log)) );
+      ( 2,
+        let* assoc = int_range 2 8 and* sets_log = int_range 1 6 in
+        return (cfg ~line_bytes ~assoc ~nsets:(1 lsl sets_log)) );
+      ( 2,
+        let* assoc = int_range 2 128 in
+        return (cfg ~line_bytes ~assoc ~nsets:1) );
+      (1, return { Cache.size_bytes = 1024; line_bytes = 8; assoc = 128 }) ]
+
+(* A long trace over a pool of 1.25-3x the cache's lines, so the same lines
+   are evicted and re-inserted many times, with a [reset] at a random
+   point. *)
+let gen_lru_case =
+  let open QCheck.Gen in
+  let* cfg = gen_geometry in
+  let lines = cfg.Cache.size_bytes / cfg.Cache.line_bytes in
+  let* pool_size = int_range (lines + (lines / 4) + 1) (3 * lines + 2) in
+  let* pool = array_repeat pool_size (int_range 0 (8 * pool_size)) in
+  let* len = int_range 200 3000 in
+  let* trace =
+    list_repeat len
+      (let* line = oneofa pool and* off = int_range 0 (cfg.Cache.line_bytes - 1) in
+       return ((line * cfg.Cache.line_bytes) + off))
+  in
+  let* reset_at = int_range 0 len in
+  return (cfg, trace, reset_at)
+
+let print_lru_case (cfg, trace, reset_at) =
+  Printf.sprintf "%d/%d/%d, %d accesses, reset at %d" cfg.Cache.size_bytes
+    cfg.Cache.line_bytes cfg.Cache.assoc (List.length trace) reset_at
 
 let prop_lru_matches_reference =
   QCheck.Test.make ~count:300 ~name:"cache agrees with reference LRU"
-    QCheck.(list_of_size (Gen.int_range 1 200) (int_range 0 4095))
-    (fun addrs ->
-      let cfg = { Cache.size_bytes = 512; line_bytes = 64; assoc = 2 } in
-      let c = Cache.create cfg in
-      let got = List.map (fun a -> Cache.access c a) addrs in
-      got = reference_lru cfg addrs)
+    (QCheck.make ~print:print_lru_case gen_lru_case)
+    (fun (cfg, trace, reset_at) ->
+      let c = Cache.create cfg and r = Ref_lru.create cfg in
+      let counters_agree () =
+        Cache.accesses c = r.Ref_lru.accesses
+        && Cache.misses c = r.Ref_lru.misses
+        && Cache.evictions c = r.Ref_lru.evictions
+      in
+      let ok = ref true in
+      List.iteri
+        (fun i addr ->
+          if i = reset_at then begin
+            ok := !ok && counters_agree ();
+            Cache.reset c;
+            Ref_lru.reset r
+          end;
+          let want = Ref_lru.access r addr in
+          if Cache.access c addr <> want then ok := false)
+        trace;
+      !ok && counters_agree ())
 
 (* --- model --- *)
 
