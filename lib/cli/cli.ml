@@ -206,12 +206,17 @@ let usage ~prog ?positional ~specs () =
   Buffer.add_string buf (Printf.sprintf "  %-22s %s\n" "--help" "this message");
   Buffer.contents buf
 
+let is_flag a = String.length a >= 2 && String.equal (String.sub a 0 2) "--"
+
+(* The [k] values after a flag.  A token that is itself a flag is never a
+   value: [--json --no-bench] is a usage error, not a report written to a
+   file named "--no-bench". *)
 let rec take_values k acc rest =
   if k = 0 then Some (List.rev acc, rest)
   else
     match rest with
-    | [] -> None
-    | v :: r -> take_values (k - 1) (v :: acc) r
+    | v :: r when not (is_flag v) -> take_values (k - 1) (v :: acc) r
+    | _ -> None
 
 let parse ~prog ?positional ~specs args =
   let rec go = function
@@ -219,8 +224,7 @@ let parse ~prog ?positional ~specs args =
     | ("--help" | "-h") :: _ ->
       print_string (usage ~prog ?positional ~specs ());
       exit 0
-    | a :: rest when String.length a >= 2 && String.equal (String.sub a 0 2) "--"
-      -> begin
+    | a :: rest when is_flag a -> begin
       match List.find_opt (fun s -> String.equal s.s_flag a) specs with
       | None -> Error (Printf.sprintf "unknown option %s" a)
       | Some s -> begin

@@ -49,68 +49,111 @@ let rec compile_iexpr env (e : E.t) : int array -> int =
     let ca = compile_iexpr env a and cb = compile_iexpr env b in
     fun f -> min (ca f) (cb f)
 
-(* Resolve a reference to (array, offset); the caller reports the access to
-   the trace so reads and writes are distinguished. *)
+(* Resolve a reference at compile time: the array is fixed, so only its
+   flat offset is computed per access (into a per-reference index buffer,
+   through the one bounds-checked [Store.offset]). *)
 let compile_ref env store (r : Fexpr.ref_) =
   let arr = Store.find store r.array in
   let idx_fns = Array.of_list (List.map (compile_iexpr env) r.idx) in
   let nidx = Array.length idx_fns in
   let buf = Array.make nidx 0 in
-  fun frame ->
-    for d = 0 to nidx - 1 do
-      buf.(d) <- idx_fns.(d) frame
-    done;
-    (arr, Store.offset arr buf)
+  ( arr,
+    fun frame ->
+      for d = 0 to nidx - 1 do
+        buf.(d) <- idx_fns.(d) frame
+      done;
+      Store.offset arr buf )
 
-let rec compile_fexpr env store sink flops (e : Fexpr.t) : int array -> float =
+(* Registers needed to evaluate [e] when its result goes to register r and
+   subterms use r+1, r+2, ... *)
+let rec fexpr_regs (e : Fexpr.t) =
   match e with
-  | Fexpr.Ref r ->
-    let cr = compile_ref env store r in
+  | Fexpr.Ref _ | Fexpr.Const _ -> 1
+  | Fexpr.Neg a | Fexpr.Sqrt a -> fexpr_regs a
+  | Fexpr.Bin (_, a, b) -> max (fexpr_regs a) (1 + fexpr_regs b)
+
+let rec stmt_regs acc (node : Ast.t) =
+  match node with
+  | Ast.Stmt s -> max acc (fexpr_regs s.rhs)
+  | Ast.If (_, body) -> List.fold_left stmt_regs acc body
+  | Ast.Loop l -> List.fold_left stmt_regs acc l.body
+
+(* The compilation context of one [prepared]: the float register file
+   every expression evaluates into (no float is ever boxed), the trace
+   sink and the flop counter. *)
+type ctx = {
+  env : env;
+  store : Store.t;
+  sink : Trace.sink;
+  flops : int ref;
+  regs : float array;
+}
+
+(* [compile_fexpr cx r e] evaluates [e] into [cx.regs.(r)], using the
+   registers above [r] for subterms. *)
+let rec compile_fexpr cx r (e : Fexpr.t) : int array -> unit =
+  let regs = cx.regs and flops = cx.flops in
+  match e with
+  | Fexpr.Ref rf ->
+    let arr, off = compile_ref cx.env cx.store rf in
+    let data = arr.Store.data and base = arr.Store.base in
     (* the sink is matched once, at compile time, so the no-trace fast
        path carries no per-access dispatch *)
-    (match sink with
-     | Trace.No_trace ->
-       fun frame ->
-         let arr, off = cr frame in
-         arr.Store.data.(off)
+    (match cx.sink with
+     | Trace.No_trace -> fun frame -> regs.(r) <- data.(off frame)
      | Trace.Callback t ->
        fun frame ->
-         let arr, off = cr frame in
-         t ~write:false ~addr:(arr.Store.base + off);
-         arr.Store.data.(off)
+         let o = off frame in
+         t ~write:false ~addr:(base + o);
+         regs.(r) <- data.(o)
      | Trace.Record rc ->
        fun frame ->
-         let arr, off = cr frame in
-         Trace.emit rc ~write:false ~addr:(arr.Store.base + off);
-         arr.Store.data.(off))
-  | Fexpr.Const x -> fun _ -> x
+         let o = off frame in
+         Trace.emit rc ~write:false ~addr:(base + o);
+         regs.(r) <- data.(o))
+  | Fexpr.Const x -> fun _ -> regs.(r) <- x
   | Fexpr.Neg a ->
-    let ca = compile_fexpr env store sink flops a in
+    let ca = compile_fexpr cx r a in
     fun f ->
       incr flops;
-      -.ca f
+      ca f;
+      regs.(r) <- -.regs.(r)
   | Fexpr.Sqrt a ->
-    let ca = compile_fexpr env store sink flops a in
+    let ca = compile_fexpr cx r a in
     fun f ->
       incr flops;
-      sqrt (ca f)
+      ca f;
+      regs.(r) <- sqrt regs.(r)
   | Fexpr.Bin (op, a, b) ->
-    let ca = compile_fexpr env store sink flops a
-    and cb = compile_fexpr env store sink flops b in
-    let g =
-      match op with
-      | Fexpr.Fadd -> ( +. )
-      | Fexpr.Fsub -> ( -. )
-      | Fexpr.Fmul -> ( *. )
-      | Fexpr.Fdiv -> ( /. )
-    in
-    (* force left-to-right evaluation so the memory trace reads operands in
-       textual order *)
-    fun f ->
-      incr flops;
-      let x = ca f in
-      let y = cb f in
-      g x y
+    (* left operand first, so the memory trace reads operands in textual
+       order *)
+    let s = r + 1 in
+    let ca = compile_fexpr cx r a and cb = compile_fexpr cx s b in
+    (match op with
+     | Fexpr.Fadd ->
+       fun f ->
+         incr flops;
+         ca f;
+         cb f;
+         regs.(r) <- regs.(r) +. regs.(s)
+     | Fexpr.Fsub ->
+       fun f ->
+         incr flops;
+         ca f;
+         cb f;
+         regs.(r) <- regs.(r) -. regs.(s)
+     | Fexpr.Fmul ->
+       fun f ->
+         incr flops;
+         ca f;
+         cb f;
+         regs.(r) <- regs.(r) *. regs.(s)
+     | Fexpr.Fdiv ->
+       fun f ->
+         incr flops;
+         ca f;
+         cb f;
+         regs.(r) <- regs.(r) /. regs.(s))
 
 let compile_guard env (g : Ast.guard) =
   let cl = compile_iexpr env g.g_lhs and cr = compile_iexpr env g.g_rhs in
@@ -121,38 +164,45 @@ let compile_guard env (g : Ast.guard) =
   | Ast.Gt -> fun f -> cl f > cr f
   | Ast.Eq -> fun f -> cl f = cr f
 
-let rec compile_node env store sink flops (node : Ast.t) : int array -> unit =
+(* A conjunction of guards as one closure, tested left to right. *)
+let rec compile_guards env = function
+  | [] -> fun _ -> true
+  | [ g ] -> compile_guard env g
+  | g :: rest ->
+    let cg = compile_guard env g and crest = compile_guards env rest in
+    fun f -> cg f && crest f
+
+let rec compile_node cx (node : Ast.t) : int array -> unit =
   match node with
   | Ast.Stmt s ->
-    let rhs = compile_fexpr env store sink flops s.rhs in
-    let lhs = compile_ref env store s.lhs in
-    (match sink with
+    let rhs = compile_fexpr cx 0 s.rhs in
+    let arr, lhs = compile_ref cx.env cx.store s.lhs in
+    let data = arr.Store.data and base = arr.Store.base and regs = cx.regs in
+    (match cx.sink with
      | Trace.No_trace ->
        fun frame ->
-         let v = rhs frame in
-         let arr, off = lhs frame in
-         arr.Store.data.(off) <- v
+         rhs frame;
+         data.(lhs frame) <- regs.(0)
      | Trace.Callback t ->
        fun frame ->
-         let v = rhs frame in
-         let arr, off = lhs frame in
-         t ~write:true ~addr:(arr.Store.base + off);
-         arr.Store.data.(off) <- v
+         rhs frame;
+         let o = lhs frame in
+         t ~write:true ~addr:(base + o);
+         data.(o) <- regs.(0)
      | Trace.Record rc ->
        fun frame ->
-         let v = rhs frame in
-         let arr, off = lhs frame in
-         Trace.emit rc ~write:true ~addr:(arr.Store.base + off);
-         arr.Store.data.(off) <- v)
+         rhs frame;
+         let o = lhs frame in
+         Trace.emit rc ~write:true ~addr:(base + o);
+         data.(o) <- regs.(0))
   | Ast.If (gs, body) ->
-    let cgs = Array.of_list (List.map (compile_guard env) gs) in
-    let cbody = compile_body env store sink flops body in
-    fun frame ->
-      if Array.for_all (fun g -> g frame) cgs then cbody frame
+    let guard = compile_guards cx.env gs in
+    let cbody = compile_body cx body in
+    fun frame -> if guard frame then cbody frame
   | Ast.Loop l ->
-    let lo = compile_iexpr env l.lo and hi = compile_iexpr env l.hi in
-    let sl = slot env l.var in
-    let cbody = compile_body env store sink flops l.body in
+    let lo = compile_iexpr cx.env l.lo and hi = compile_iexpr cx.env l.hi in
+    let sl = slot cx.env l.var in
+    let cbody = compile_body cx l.body in
     fun frame ->
       let a = lo frame and b = hi frame in
       for v = a to b do
@@ -160,9 +210,14 @@ let rec compile_node env store sink flops (node : Ast.t) : int array -> unit =
         cbody frame
       done
 
-and compile_body env store sink flops body =
-  let cs = Array.of_list (List.map (compile_node env store sink flops) body) in
-  fun frame -> Array.iter (fun c -> c frame) cs
+and compile_body cx body =
+  match Array.of_list (List.map (compile_node cx) body) with
+  | [| c |] -> c
+  | cs ->
+    fun frame ->
+      for i = 0 to Array.length cs - 1 do
+        cs.(i) frame
+      done
 
 type prepared = {
   p_env : env;
@@ -173,14 +228,20 @@ type prepared = {
 
 let prepare ?(sink = Trace.No_trace) store (prog : Ast.program) =
   let env = { slots = Hashtbl.create 16; count = 0 } in
-  let flops = ref 0 in
+  let cx =
+    { env;
+      store;
+      sink;
+      flops = ref 0;
+      regs = Array.make (List.fold_left stmt_regs 1 prog.body) 0.0 }
+  in
   (* reserve slots for params first *)
   List.iter (fun p -> ignore (slot env p)) prog.params;
-  let main = compile_body env store sink flops prog.body in
+  let main = compile_body cx prog.body in
   (* env.count is final once compile_body returns: one slot per distinct
      name, no more *)
   let frame = Array.make env.count 0 in
-  { p_env = env; p_main = main; p_frame = frame; p_flops = flops }
+  { p_env = env; p_main = main; p_frame = frame; p_flops = cx.flops }
 
 let invoke p ~params =
   List.iter

@@ -7,6 +7,16 @@
     reads are reported left-to-right, then the write — the access order the
     paper's machine would perform.
 
+    Executing a statement allocates nothing (a [Record] sink's chunk
+    flush aside, once per chunk).  Each array reference is
+    resolved to its array when the program is compiled, so an access only
+    computes a flat offset (bounds-checked by {!Store.offset}).  Float
+    expressions evaluate into an unboxed register file owned by the
+    compiled program: a subterm writes its value into a register, one
+    closure per operator combines registers, and no float is ever boxed.
+    Statement bodies and guard conjunctions run as plain loops and [&&]
+    chains, without a closure per call.
+
     The sink is matched once when the program is compiled, so the default
     [No_trace] path pays nothing per access; [Callback] reproduces the old
     per-access closure interface; [Record] feeds a chunked trace recorder
@@ -29,8 +39,8 @@ type prepared
 (** A compiled program whose parameter bindings can be rebound cheaply
     between invocations — the block scheduler compiles each task body once
     per worker and re-invokes it with fresh block-coordinate bindings.
-    Single-domain mutable state (frame, flop counter): one [prepared] per
-    worker. *)
+    Single-domain mutable state (frame, float registers, flop counter): one
+    [prepared] per worker. *)
 
 val prepare : ?sink:Trace.sink -> Store.t -> Loopir.Ast.program -> prepared
 

@@ -6,7 +6,9 @@
 (* A cheap deterministic hash onto [0, 1). *)
 let unit_hash name idx =
   let h = ref (Hashtbl.hash name land 0xFFFF) in
-  Array.iter (fun i -> h := ((!h * 1000003) + i) land 0xFFFFFF) idx;
+  for d = 0 to Array.length idx - 1 do
+    h := ((!h * 1000003) + idx.(d)) land 0xFFFFFF
+  done;
   float_of_int (!h land 0xFFFF) /. 65536.0
 
 let generic name idx = 0.5 +. unit_hash name idx

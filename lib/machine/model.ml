@@ -128,23 +128,22 @@ module Sim = struct
     sim.instances <- 0;
     sim.last_addr <- min_int
 
-  (* One access through the hierarchy: level l+1 is probed only when
-     level l misses.  [forwarding] quality drops back-to-back accesses to
-     the same element before they reach the hierarchy. *)
+  (* Level i+1 is probed only when level i misses. *)
+  let rec probe caches i byte =
+    if i < Array.length caches
+       && not (Cache.access (Array.unsafe_get caches i) byte)
+    then probe caches (i + 1) byte
+
+  (* One access through the hierarchy.  [forwarding] quality drops
+     back-to-back accesses to the same element before they reach the
+     hierarchy. *)
   let access sim ~write ~addr =
     if write then sim.instances <- sim.instances + 1;
     if sim.quality.forwarding && addr = sim.last_addr then ()
     else begin
       sim.accesses <- sim.accesses + 1;
       sim.last_addr <- addr;
-      let byte = addr * sim.machine.elem_bytes in
-      let caches = sim.caches in
-      let n = Array.length caches in
-      let rec probe i =
-        if i < n && not (Cache.access (Array.unsafe_get caches i) byte) then
-          probe (i + 1)
-      in
-      probe 0
+      probe sim.caches 0 (addr * sim.machine.elem_bytes)
     end
 
   (* Replay one recorded chunk: the tight loop of the trace pipeline. *)
@@ -280,6 +279,14 @@ module Smp = struct
 
   type cursor = { mutable chunks : (int array * int) list; mutable pos : int }
 
+  (* An L1 miss of [core] walks the shared levels: the first hit is counted
+     in [hits], a miss everywhere in [mem_misses]. *)
+  let rec probe_shared shared hits mem_misses core i byte =
+    if i >= Array.length shared then
+      mem_misses.(core) <- mem_misses.(core) + 1
+    else if Cache.access shared.(i) byte then hits.(i) <- hits.(i) + 1
+    else probe_shared shared hits mem_misses core (i + 1) byte
+
   let consume ~machine ~quality ~cores ~groups ~parts ~task_flops =
     if cores <= 0 then invalid_arg "Smp.consume: cores";
     let private_spec, shared_specs =
@@ -303,15 +310,8 @@ module Smp = struct
         accesses.(core) <- accesses.(core) + 1;
         last_addr.(core) <- addr;
         let byte = addr * machine.elem_bytes in
-        if not (Cache.access l1.(core) byte) then begin
-          let rec probe i =
-            if i >= nshared then mem_misses.(core) <- mem_misses.(core) + 1
-            else if Cache.access shared.(i) byte then
-              shared_hits.(core).(i) <- shared_hits.(core).(i) + 1
-            else probe (i + 1)
-          in
-          probe 0
-        end
+        if not (Cache.access l1.(core) byte) then
+          probe_shared shared shared_hits.(core) mem_misses core 0 byte
       end
     in
     (* one wavefront group: round-robin the cores' streams in fixed quanta *)

@@ -420,6 +420,64 @@ let test_record_replay_matches_direct () =
         direct streamed)
     trace_test_points
 
+(* --- allocation gate --- *)
+
+(* Minor-heap words allocated while [f] runs.  The count is deterministic,
+   so the gates below are exact. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* Matmul blocked for two cache levels (C x A shackles of 32 and 8),
+   specialized to size n. *)
+let matmul_two_level ~n =
+  let ca size =
+    [ Spec.factor (Blocking.blocks_2d ~array:"C" ~size)
+        [ ("S1", rf "C" [ "I"; "J" ]) ];
+      Spec.factor (Blocking.blocks_2d ~array:"A" ~size)
+        [ ("S1", rf "A" [ "I"; "K" ]) ] ]
+  in
+  Loopir.Stages.specialize
+    ~params:[ ("N", n) ]
+    (Codegen.Tighten.generate (K.matmul ()) (ca 32 @ ca 8))
+
+let record_matmul ~n =
+  Model.record ~chunk_words:4096 (matmul_two_level ~n) ~params:[ ("N", n) ]
+    ~init:(Kernels.Inits.for_kernel "matmul" ~n)
+
+let test_replay_allocation_free () =
+  (* a replay allocates its simulator and its result, nothing per access:
+     a long recording costs exactly the words of a short one *)
+  let short = record_matmul ~n:8 and long = record_matmul ~n:48 in
+  List.iter
+    (fun (machine, quality) ->
+      let words r = minor_words (fun () -> Model.consume ~machine ~quality r) in
+      let tag =
+        Printf.sprintf "%s/%s replay words beyond set-up" machine.Model.m_name
+          quality.Model.q_name
+      in
+      Alcotest.(check int) tag 0 (int_of_float (words long -. words short)))
+    [ (Model.sp2_like, Model.untuned);
+      (Model.sp2_like, Model.tuned);
+      (Model.small_cache, Model.untuned);
+      (Model.two_level, Model.untuned) ]
+
+let test_record_allocation () =
+  let n = 48 in
+  let prog = matmul_two_level ~n and init = Kernels.Inits.for_kernel "matmul" ~n in
+  let accesses = ref 0 in
+  let words =
+    minor_words (fun () ->
+        let r = Model.record prog ~params:[ ("N", n) ] ~init in
+        accesses := Trace.length r.Model.rec_trace)
+  in
+  Alcotest.(check int) "accesses recorded" (4 * n * n * n) !accesses;
+  let per_access = words /. float_of_int !accesses in
+  if per_access >= 0.1 then
+    Alcotest.failf "record allocates %.3f words per access (gate: < 0.1)"
+      per_access
+
 (* --- tiling baseline --- *)
 
 let test_tile_matmul_equivalent () =
@@ -520,6 +578,11 @@ let () =
             test_closed_form_matches_per_access;
           Alcotest.test_case "record/replay = direct" `Quick
             test_record_replay_matches_direct ] );
+      ( "allocation",
+        [ Alcotest.test_case "replay allocates nothing per access" `Quick
+            test_replay_allocation_free;
+          Alcotest.test_case "record allocates < 0.1 words per access" `Quick
+            test_record_allocation ] );
       ( "tiling",
         [ Alcotest.test_case "matmul equivalence" `Quick test_tile_matmul_equivalent;
           Alcotest.test_case "tiling = shackling on matmul" `Slow
