@@ -8,7 +8,8 @@ type config = {
    evicted, and the per-access work is O(1) whatever the associativity:
 
    - an open-addressing table (linear probing, backward-shift delete) maps
-     a line number to its slot;
+     a line number to its slot, and each slot remembers the entry naming
+     it, so an eviction deletes its victim without a lookup;
    - each set threads its used slots on an intrusive doubly linked list,
      most recently used at [head], least recently used at [tail].
 
@@ -25,8 +26,9 @@ type t = {
   slots : int array;
   tab_mask : int;
   hash_shift : int;
-  (* per slot *)
+  (* per slot: its line, the table entry naming it, its list links *)
   line_of : int array;
+  entry_of : int array;
   prev : int array;
   next : int array;
   (* per set; -1 = none *)
@@ -54,8 +56,9 @@ let create cfg =
   let nsets = lines / cfg.assoc in
   if not (is_pow2 nsets) then
     invalid_arg "Cache.create: number of sets must be a power of two";
-  (* more than twice as many entries as lines keeps probe runs short *)
-  let tab_bits = log2 lines + 2 in
+  (* more than four times as many entries as lines keeps probe runs short,
+     also for the misses, whose probes run to an empty entry *)
+  let tab_bits = log2 lines + 3 in
   let tab_size = 1 lsl tab_bits in
   { cfg;
     assoc = cfg.assoc;
@@ -66,6 +69,7 @@ let create cfg =
     tab_mask = tab_size - 1;
     hash_shift = Sys.int_size - tab_bits;
     line_of = Array.make lines (-1);
+    entry_of = Array.make lines 0;
     prev = Array.make lines (-1);
     next = Array.make lines (-1);
     head = Array.make nsets (-1);
@@ -91,14 +95,15 @@ let rec close_gap c hole j =
   if k >= 0 then
     if (j - hash c k) land c.tab_mask >= (j - hole) land c.tab_mask then begin
       Array.unsafe_set c.keys hole k;
-      Array.unsafe_set c.slots hole (Array.unsafe_get c.slots j);
+      let s = Array.unsafe_get c.slots j in
+      Array.unsafe_set c.slots hole s;
+      Array.unsafe_set c.entry_of s hole;
       Array.unsafe_set c.keys j (-1);
       close_gap c j ((j + 1) land c.tab_mask)
     end
     else close_gap c hole ((j + 1) land c.tab_mask)
 
-let remove c line =
-  let i = find c.keys c.tab_mask line (hash c line) in
+let remove c i =
   Array.unsafe_set c.keys i (-1);
   close_gap c i ((i + 1) land c.tab_mask)
 
@@ -127,11 +132,13 @@ let miss c set i line =
   in
   (* insert before deleting the victim: [i] is only known to end the new
      line's probe run while the table is unchanged *)
+  let victim = Array.unsafe_get c.entry_of s in
   Array.unsafe_set c.keys i line;
   Array.unsafe_set c.slots i s;
+  Array.unsafe_set c.entry_of s i;
   if used = c.assoc then begin
     c.n_evictions <- c.n_evictions + 1;
-    remove c (Array.unsafe_get c.line_of s);
+    remove c victim;
     unlink c set s
   end;
   Array.unsafe_set c.line_of s line;

@@ -2,8 +2,8 @@
 
     An access costs O(1) whatever the associativity, and allocates
     nothing: an open-addressing table (linear probing, backward-shift
-    delete, at least twice as many entries as lines) maps a line to the
-    fixed slot that holds it, and every set keeps its slots on an
+    delete, more than four times as many entries as lines) maps a line to
+    the fixed slot that holds it, and every set keeps its slots on an
     intrusive doubly linked list in recency order.  Hits move a slot to
     the front; a miss fills the next free way of its set, or evicts the
     set's least recently used line. *)
