@@ -8,9 +8,9 @@
     paper's machine would perform.
 
     Executing a statement allocates nothing (a [Record] sink's chunk
-    flush aside, once per chunk).  Each array reference is
-    resolved to its array when the program is compiled, so an access only
-    computes a flat offset (bounds-checked by {!Store.offset}).  Float
+    flush aside, once per chunk).  Each array reference is resolved to
+    its array when the program is compiled, so an access only computes a
+    flat offset (bounds-checked by {!Store.offset}).  Float
     expressions evaluate into an unboxed register file owned by the
     compiled program: a subterm writes its value into a register, one
     closure per operator combines registers, and no float is ever boxed.

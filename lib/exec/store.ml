@@ -24,11 +24,6 @@ let size_of extents layout =
       invalid_arg "Store: banded layout needs a rank-2 array";
     (bw + 1) * extents.(1)
 
-let out_of_range arr i d =
-  invalid_arg
-    (Printf.sprintf "Store.offset: %s index %d out of [1..%d]" arr.name i
-       arr.extents.(d))
-
 let offset arr idx =
   if Array.length idx <> Array.length arr.extents then
     invalid_arg ("Store.offset: arity mismatch on " ^ arr.name);
@@ -37,7 +32,10 @@ let offset arr idx =
    | Col_major | Row_major ->
      for d = 0 to Array.length idx - 1 do
        let i = idx.(d) in
-       if i < 1 || i > arr.extents.(d) then out_of_range arr i d
+       if i < 1 || i > arr.extents.(d) then
+         invalid_arg
+           (Printf.sprintf "Store.offset: %s index %d out of [1..%d]"
+              arr.name i arr.extents.(d))
      done);
   match arr.layout with
   | Col_major ->
